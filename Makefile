@@ -6,13 +6,15 @@ GO ?= go
 
 all: build vet test
 
-# The CI gate: build + vet + full test suite under the race detector,
+# The CI gate: build + vet + full test suite under the race detector, the
+# same for the perfbench module (its own go.mod, so ./... never reaches it),
 # plus the dead-link check over the markdown docs and a known-vulnerability
 # scan (skipped quietly where govulncheck is not installed; CI installs it).
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	bash scripts/doclinks.sh
 	bash scripts/scripts_test.sh
 	@if command -v govulncheck >/dev/null 2>&1; then \

@@ -33,10 +33,10 @@ import (
 
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
-	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
 	"dynsample/internal/parallel"
+	"dynsample/internal/scenario"
 	"dynsample/internal/sqlparse"
 	"dynsample/internal/uniform"
 )
@@ -53,7 +53,7 @@ func main() {
 		z        = flag.Float64("z", 2.0, "Zipf skew (>= 0)")
 		rows     = flag.Int("rows", 200000, "fact rows (>= 1)")
 		rate     = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
-		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing; 0 = serial legacy path")
+		workers  = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
 		strategy = flag.String("strategy", "smallgroup", "strategy: smallgroup or uniform")
 		seed     = flag.Int64("seed", 42, "random seed")
 		query    = flag.String("query", "", "run one query and exit")
@@ -71,8 +71,8 @@ func main() {
 	if *rows < 1 {
 		fatal(fmt.Errorf("invalid -rows %d: need at least 1 fact row", *rows))
 	}
-	if *workers < 0 {
-		fatal(fmt.Errorf("invalid -workers %d: must be >= 0", *workers))
+	if *workers < 1 {
+		fatal(fmt.Errorf("invalid -workers %d: must be >= 1", *workers))
 	}
 	if *timeout < 0 {
 		fatal(fmt.Errorf("invalid -timeout %v: must be >= 0 (0 disables the deadline)", *timeout))
@@ -101,12 +101,7 @@ func main() {
 		db, err = loadCSV(*load)
 	} else {
 		fmt.Fprintf(os.Stderr, "generating %s database (%d rows)...\n", *dbKind, *rows)
-		switch *dbKind {
-		case "tpch":
-			db, err = datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 1, Zipf: *z, RowsPerSF: *rows, Seed: *seed})
-		case "sales":
-			db, err = datagen.Sales(datagen.SalesConfig{FactRows: *rows, Zipf: *z, Seed: *seed})
-		}
+		db, err = scenario.BuiltinDatabase(*dbKind, *rows, *z, *seed)
 	}
 	if err != nil {
 		fatal(err)
@@ -119,7 +114,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		p, err := core.LoadSmallGroupAny(f)
+		p, err := core.LoadSmallGroupSnapshot(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
@@ -145,7 +140,7 @@ func main() {
 	if *save != "" {
 		// Atomic + checksummed: the file appears under its final name only
 		// after a successful write and fsync, in the snapshot container that
-		// LoadSmallGroupAny verifies on the way back in. A crash mid-save
+		// LoadSmallGroupSnapshot verifies on the way back in. A crash mid-save
 		// leaves any previous file untouched.
 		p, _ := sys.Prepared("smallgroup")
 		err := catalog.WriteFileAtomic(*save, func(w io.Writer) error {

@@ -1,17 +1,17 @@
 // Command aqpd serves the AQP middleware over HTTP: generate (or restore) a
 // database, run pre-processing once, then answer SQL aggregation queries
-// from the samples. The server handles concurrent /query requests; -workers
+// from the samples. The server handles concurrent /v1/query requests; -workers
 // additionally parallelises each query's rewritten UNION ALL over
 // partitioned scans (and pre-processing itself).
 //
 // Usage:
 //
 //	aqpd -db tpch -z 2.0 -rows 200000 -rate 0.01 -workers 8 -addr :8080
-//	curl -s localhost:8080/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region"}'
-//	curl -s localhost:8080/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region","timeout_ms":50}'
-//	curl -s localhost:8080/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region","error_bound":0.05}'
-//	curl -s localhost:8080/exact -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region"}'
-//	curl -s localhost:8080/columns
+//	curl -s localhost:8080/v1/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region"}'
+//	curl -s localhost:8080/v1/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region","timeout_ms":50}'
+//	curl -s localhost:8080/v1/query -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region","error_bound":0.05}'
+//	curl -s localhost:8080/v1/exact -d '{"sql":"SELECT s_region, COUNT(*) FROM T GROUP BY s_region"}'
+//	curl -s localhost:8080/v1/columns
 //
 // Robustness: every query runs under a deadline (-query-timeout, overridable
 // per request via timeout_ms; missed deadlines return 504), concurrent query
@@ -21,7 +21,7 @@
 // Durability: with -catalog-dir the server keeps its pre-processed samples in
 // a crash-safe snapshot catalog. At startup it recovers the newest generation
 // that verifies (falling back to older ones, then to a fresh rebuild — the
-// catalog self-heals); POST /admin/rebuild (or -rebuild-interval) re-runs
+// catalog self-heals); POST /v1/admin/rebuild (or -rebuild-interval) re-runs
 // pre-processing in the background and swaps the new generation in without
 // dropping a single query.
 //
@@ -54,10 +54,9 @@ import (
 	"dynsample/internal/catalog"
 	"dynsample/internal/cluster"
 	"dynsample/internal/core"
-	"dynsample/internal/datagen"
-	"dynsample/internal/engine"
 	"dynsample/internal/ingest"
 	"dynsample/internal/parallel"
+	"dynsample/internal/scenario"
 	"dynsample/internal/server"
 )
 
@@ -68,14 +67,14 @@ func main() {
 		z            = flag.Float64("z", 2.0, "Zipf skew (>= 0)")
 		rows         = flag.Int("rows", 200000, "fact rows (>= 1)")
 		rate         = flag.Float64("rate", 0.01, "base sampling rate r, in (0, 1]")
-		workers      = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing; 1 disables parallelism (0 = serial legacy path)")
+		workers      = flag.Int("workers", parallel.DefaultWorkers(), "worker goroutines per query and for pre-processing (>= 1); 1 disables parallelism")
 		seed         = flag.Int64("seed", 42, "random seed")
 		restore      = flag.String("restore", "", "load a pre-processed sample set (see aqpcli -save)")
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline; 0 disables (clients may override per request via timeout_ms)")
-		maxInflight  = flag.Int("max-inflight", 0, "max concurrent /query + /exact requests; excess is shed with 503 + Retry-After (0 = unlimited)")
+		maxInflight  = flag.Int("max-inflight", 0, "max concurrent /v1/query + /v1/exact requests; excess is shed with 503 + Retry-After (0 = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long graceful shutdown waits for in-flight requests after SIGINT/SIGTERM")
 		catalogDir   = flag.String("catalog-dir", "", "directory for the crash-safe snapshot catalog; samples are recovered from it at startup and every rebuild persists a new generation")
-		rebuildEvery = flag.Duration("rebuild-interval", 0, "rebuild the samples periodically, swapping each new generation in without downtime (0 disables; rebuilds are also available on demand via POST /admin/rebuild)")
+		rebuildEvery = flag.Duration("rebuild-interval", 0, "rebuild the samples periodically, swapping each new generation in without downtime (0 disables; rebuilds are also available on demand via POST /v1/admin/rebuild)")
 		debugAddr    = flag.String("debug-addr", "", "listen address for the debug server (pprof, /metrics, /debug/slowlog); empty disables it")
 		slowlogSize  = flag.Int("slowlog-size", 0, "how many of the slowest queries /debug/slowlog retains (0 = default)")
 		walDir       = flag.String("wal-dir", "", "directory for the ingestion write-ahead log; enables POST /v1/ingest, and durable batches found there are replayed at startup")
@@ -124,16 +123,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "generating %s database (%d rows)...\n", *dbKind, *rows)
-	var (
-		db  *engine.Database
-		err error
-	)
-	switch *dbKind {
-	case "tpch":
-		db, err = datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 1, Zipf: *z, RowsPerSF: *rows, Seed: *seed})
-	case "sales":
-		db, err = datagen.Sales(datagen.SalesConfig{FactRows: *rows, Zipf: *z, Seed: *seed})
-	}
+	db, err := scenario.BuiltinDatabase(*dbKind, *rows, *z, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -162,9 +152,8 @@ func main() {
 	// catalog's newest verifying generation; otherwise pre-process from
 	// scratch (and, with a catalog, persist the fresh build as generation 1 —
 	// a catalog whose snapshots all fail verification self-heals this way).
-	// Catalog snapshots may be checkpointed (they carry the ingested-row
-	// delta, the idempotency window, and the WAL position they cover) or
-	// legacy bare sample sets; DecodeSnapshot handles both.
+	// Catalog snapshots are checkpoints: they carry the ingested-row delta,
+	// the idempotency window, and the WAL position they cover.
 	var gen uint64
 	var snap *ingest.Snapshot
 	source := "preprocess"
@@ -174,7 +163,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		p, err := core.LoadSmallGroupAny(f)
+		p, err := core.LoadSmallGroupSnapshot(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
@@ -195,7 +184,7 @@ func main() {
 			// fixed row offset; a different base (changed -rows/-db/-seed)
 			// makes this generation unusable, so fail the decode and let
 			// LoadLatest fall back to an older one.
-			if s.Checkpoint != nil && s.Checkpoint.BaseRows != uint64(db.NumRows()) {
+			if s.Checkpoint.BaseRows != uint64(db.NumRows()) {
 				return fmt.Errorf("checkpoint covers %d base rows but the regenerated base has %d (changed -rows, -db, or -seed?)",
 					s.Checkpoint.BaseRows, db.NumRows())
 			}
@@ -214,18 +203,16 @@ func main() {
 				fatal(err)
 			}
 			gen, source = res.Generation, "snapshot"
-			if ck := snap.Checkpoint; ck != nil {
-				fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s (checkpoint: %d ingest batches, wal position %d/%d)\n",
-					res.Generation, *catalogDir, ck.DataGen, ck.Seg, ck.Off)
-			} else {
-				fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s\n", res.Generation, *catalogDir)
-			}
+			ck := snap.Checkpoint
+			fmt.Fprintf(os.Stderr, "recovered sample generation %d from %s (checkpoint: %d ingest batches, wal position %d/%d)\n",
+				res.Generation, *catalogDir, ck.DataGen, ck.Seg, ck.Off)
 		case errors.Is(err, catalog.ErrNoSnapshot):
 			fmt.Fprintf(os.Stderr, "no usable snapshot in %s; pre-processing from scratch...\n", *catalogDir)
 			preprocess(sys, strategy)
 			if g, err := cat.Save(func(w io.Writer) error {
 				p, _ := sys.Prepared("smallgroup")
-				return core.SaveSmallGroup(w, p)
+				// A zero checkpoint: no ingest is covered yet.
+				return ingest.WriteCheckpoint(w, p, ingest.Checkpoint{BaseRows: uint64(db.NumRows())}, nil, nil)
 			}); err != nil {
 				fmt.Fprintf(os.Stderr, "aqpd: warning: samples built but not persisted: %v\n", err)
 			} else {
@@ -252,7 +239,7 @@ func main() {
 			fatal(err)
 		}
 		baseRows := 0
-		if snap != nil && snap.Checkpoint != nil {
+		if snap != nil {
 			baseRows = int(snap.Checkpoint.BaseRows)
 			// Finish any segment GC a crash interrupted: everything below the
 			// restored checkpoint's position is fully covered by the snapshot.
@@ -409,8 +396,8 @@ func validateFlags(dbKind string, rate float64, rows int, z float64, workers int
 	if z < 0 {
 		return fmt.Errorf("invalid -z %g: Zipf skew must be >= 0", z)
 	}
-	if workers < 0 {
-		return fmt.Errorf("invalid -workers %d: must be >= 0", workers)
+	if workers < 1 {
+		return fmt.Errorf("invalid -workers %d: must be >= 1", workers)
 	}
 	if queryTimeout < 0 {
 		return fmt.Errorf("invalid -query-timeout %v: must be >= 0 (0 disables the default deadline)", queryTimeout)

@@ -25,7 +25,7 @@ func main() {
 	var (
 		db       = flag.String("db", "", "builtin database spec to generate (see -list)")
 		specPath = flag.String("spec", "", "path to a scenario spec file (overrides -db)")
-		rows     = flag.Int("rows", 0, "fact table row-count override")
+		rows     = flag.Int("rows", 0, "fact table row-count override; other tables scale in proportion")
 		seed     = flag.Int64("seed", 0, "random seed override (0 keeps the spec's seed)")
 		out      = flag.String("out", ".", "output directory")
 		list     = flag.Bool("list", false, "list builtin spec names and exit")
@@ -44,11 +44,9 @@ func main() {
 		fail(err)
 	}
 	if *rows > 0 {
-		ft := spec.FactTable()
-		if ft == nil {
-			fail(fmt.Errorf("spec %s has no fact table to apply -rows to", spec.Name))
+		if err := spec.Resize(*rows); err != nil {
+			fail(err)
 		}
-		ft.Rows = *rows
 	}
 	if *seed != 0 {
 		spec.Seed = *seed

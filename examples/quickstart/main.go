@@ -9,14 +9,14 @@ import (
 	"log"
 
 	"dynsample/internal/core"
-	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
+	"dynsample/internal/scenario"
 )
 
 func main() {
 	// 1. A skewed TPC-H-like star schema: 100k fact rows, Zipf z=2.
-	db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 1, Zipf: 2.0, RowsPerSF: 100000, Seed: 1})
+	db, err := scenario.BuiltinDatabase("tpch", 100000, 2.0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func main() {
 	q := &engine.Query{
 		GroupBy: []string{"p_category"},
 		Aggs:    []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "l_extendedprice"}},
-		Where:   []engine.Predicate{engine.NewIn("l_returnflag", engine.StringVal("A"), engine.StringVal("N"))},
+		Where:   []engine.Predicate{engine.NewIn("l_returnflag", engine.StringVal("l_returnflag_000"), engine.StringVal("l_returnflag_001"))},
 	}
 	fmt.Println("query:", q)
 

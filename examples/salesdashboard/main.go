@@ -14,13 +14,13 @@ import (
 	"time"
 
 	"dynsample/internal/core"
-	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
+	"dynsample/internal/scenario"
 )
 
 func main() {
 	fmt.Println("building SALES star schema (6 dimensions, ~245 columns)...")
-	db, err := datagen.Sales(datagen.SalesConfig{FactRows: 100000, Seed: 7})
+	db, err := scenario.BuiltinDatabase("sales", 100000, 1.2, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

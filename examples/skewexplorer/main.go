@@ -10,9 +10,9 @@ import (
 	"log"
 
 	"dynsample/internal/core"
-	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
+	"dynsample/internal/scenario"
 	"dynsample/internal/uniform"
 	"dynsample/internal/workload"
 )
@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("TPCH-like data, %d rows, COUNT queries with %d grouping columns, r=%g\n\n", rows, groupBys, baseRate)
 	fmt.Printf("%-8s%-14s%-14s%-16s%-16s\n", "skew", "SG RelErr", "Uni RelErr", "SG missed%", "Uni missed%")
 	for _, z := range []float64{0.5, 1.0, 1.5, 2.0, 2.5} {
-		db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 1, Zipf: z, RowsPerSF: rows, Seed: 3})
+		db, err := scenario.BuiltinDatabase("tpch", rows, z, 3)
 		if err != nil {
 			log.Fatal(err)
 		}

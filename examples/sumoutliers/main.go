@@ -12,16 +12,16 @@ import (
 	"math"
 
 	"dynsample/internal/core"
-	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
 	"dynsample/internal/outlier"
+	"dynsample/internal/scenario"
 	"dynsample/internal/uniform"
 	"dynsample/internal/workload"
 )
 
 func main() {
-	db, err := datagen.Sales(datagen.SalesConfig{FactRows: 60000, Seed: 11})
+	db, err := scenario.BuiltinDatabase("sales", 60000, 1.2, 11)
 	if err != nil {
 		log.Fatal(err)
 	}

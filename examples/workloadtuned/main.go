@@ -12,15 +12,15 @@ import (
 	"log"
 
 	"dynsample/internal/core"
-	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
+	"dynsample/internal/scenario"
 	"dynsample/internal/weighted"
 	"dynsample/internal/workload"
 )
 
 func main() {
-	db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 1, Zipf: 2.0, RowsPerSF: 150000, Seed: 21})
+	db, err := scenario.BuiltinDatabase("tpch", 150000, 2.0, 21)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func main() {
 
 	// 4. Persist the tuned sample set and answer from the restored copy.
 	var buf bytes.Buffer
-	if err := core.SaveSmallGroup(&buf, tuned); err != nil {
+	if err := core.SaveSmallGroupSnapshot(&buf, tuned); err != nil {
 		log.Fatal(err)
 	}
 	size := buf.Len()
-	restored, err := core.LoadSmallGroup(&buf)
+	restored, err := core.LoadSmallGroupSnapshot(&buf)
 	if err != nil {
 		log.Fatal(err)
 	}

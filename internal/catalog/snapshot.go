@@ -14,8 +14,9 @@
 //
 // BlinkDB and VerdictDB both treat the sample store as a rebuildable catalog
 // managed by the system; this package gives the reproduction the same
-// property. The container is payload-agnostic: core.SaveSmallGroup writes
-// through it unchanged (see core.SaveSmallGroupSnapshot).
+// property. The container is payload-agnostic: core.SaveSmallGroupSnapshot
+// wraps the raw sample stream in it, and catalog generations wrap an ingest
+// checkpoint.
 package catalog
 
 import (

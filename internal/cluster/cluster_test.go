@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -652,6 +653,38 @@ func TestClusterMetadataEndpoints(t *testing.T) {
 	resp, body = get("/metrics")
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("aqp_cluster_shard_requests_total")) {
 		t.Errorf("metrics: status %d, cluster families missing", resp.StatusCode)
+	}
+}
+
+// TestClusterUnversionedPathsNotFound: the coordinator serves its client API
+// under /v1 only; the unprefixed paths get the 404 error envelope.
+func TestClusterUnversionedPathsNotFound(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	for _, r := range []struct{ method, path string }{
+		{"POST", "/query"}, {"POST", "/exact"}, {"GET", "/columns"},
+		{"GET", "/shards"}, {"POST", "/admin/probe"},
+	} {
+		req, _ := http.NewRequest(r.method, tc.srv.URL+r.path, strings.NewReader(`{"sql":"SELECT COUNT(*) FROM T"}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er server.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || err != nil || er.Error.Code != server.CodeNotFound {
+			t.Errorf("%s %s: status %d code %q (%v), want the 404 not_found envelope", r.method, r.path, resp.StatusCode, er.Error.Code, err)
+		}
+	}
+	for _, path := range []string{"/v1/columns", "/v1/shards"} {
+		resp, err := http.Get(tc.srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -19,24 +19,19 @@ import (
 	"dynsample/internal/stats"
 )
 
-// Handler returns the coordinator's routes: the same /v1 + legacy client
-// surface as a single-node server for /query, /exact and /columns (a client
+// Handler returns the coordinator's routes: the same /v1 client surface as
+// a single-node server for /v1/query, /v1/exact and /v1/columns (a client
 // should not need to know it is talking to a cluster), plus the
-// cluster-specific GET /shards and POST /admin/probe. Wrapped in the
+// cluster-specific GET /v1/shards and POST /v1/admin/probe. Wrapped in the
 // server's request-ID and panic-recovery middleware so both tiers share one
 // envelope discipline.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	versioned := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	versioned("POST /query", c.handleQuery)
-	versioned("POST /exact", c.handleExact)
-	versioned("GET /columns", c.handleColumns)
-	versioned("GET /shards", c.handleShards)
-	versioned("POST /admin/probe", c.handleProbe)
+	mux.HandleFunc("POST /v1/query", c.handleQuery)
+	mux.HandleFunc("POST /v1/exact", c.handleExact)
+	mux.HandleFunc("GET /v1/columns", c.handleColumns)
+	mux.HandleFunc("GET /v1/shards", c.handleShards)
+	mux.HandleFunc("POST /v1/admin/probe", c.handleProbe)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
 	mux.Handle("GET /metrics", obs.Handler(obs.Default()))

@@ -36,9 +36,9 @@ func FuzzLoadSmallGroup(f *testing.F) {
 		if err == nil && p == nil {
 			t.Fatal("nil Prepared with nil error")
 		}
-		// The sniffing wrapper shares the guarantee.
-		if p2, err2 := LoadSmallGroupAny(bytes.NewReader(data)); err2 == nil && p2 == nil {
-			t.Fatal("LoadSmallGroupAny: nil Prepared with nil error")
+		// The snapshot loader shares the guarantee.
+		if p2, err2 := LoadSmallGroupSnapshot(bytes.NewReader(data)); err2 == nil && p2 == nil {
+			t.Fatal("LoadSmallGroupSnapshot: nil Prepared with nil error")
 		}
 	})
 }

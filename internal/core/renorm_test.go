@@ -1,20 +1,29 @@
-package core
+package core_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
-	"dynsample/internal/datagen"
+	"dynsample/internal/core"
 	"dynsample/internal/engine"
+	"dynsample/internal/scenario"
 )
 
-func TestRenormalizedMatchesFlatAnswers(t *testing.T) {
-	db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 0.3, Zipf: 2.0, Seed: 5})
+func prep(t *testing.T, db *engine.Database, cfg core.SmallGroupConfig) core.Prepared {
+	t.Helper()
+	p, err := core.NewSmallGroup(cfg).Preprocess(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SmallGroupConfig{BaseRate: 0.02, Seed: 6}
+	return p
+}
+
+func TestRenormalizedMatchesFlatAnswers(t *testing.T) {
+	db, err := scenario.BuiltinDatabase("tpch", 30000, 2.0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.SmallGroupConfig{BaseRate: 0.02, Seed: 6}
 	flat := prep(t, db, cfg)
 	cfg.Renormalize = true
 	ren := prep(t, db, cfg)
@@ -57,11 +66,11 @@ func TestRenormalizedMatchesFlatAnswers(t *testing.T) {
 }
 
 func TestRenormalizedSavesSpaceOnWideSchema(t *testing.T) {
-	db, err := datagen.Sales(datagen.SalesConfig{FactRows: 20000, Seed: 7})
+	db, err := scenario.BuiltinDatabase("sales", 20000, 1.2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SmallGroupConfig{BaseRate: 0.01, Seed: 8}
+	cfg := core.SmallGroupConfig{BaseRate: 0.01, Seed: 8}
 	flat := prep(t, db, cfg)
 	cfg.Renormalize = true
 	ren := prep(t, db, cfg)
@@ -75,17 +84,8 @@ func TestRenormalizedSavesSpaceOnWideSchema(t *testing.T) {
 	t.Logf("flat %d bytes, renormalized %d bytes (%.1fx smaller)", fb, rb, float64(fb)/float64(rb))
 }
 
-func TestRenormalizedSaveRejected(t *testing.T) {
-	db := skewedDB(t, 2000)
-	p := prep(t, db, SmallGroupConfig{BaseRate: 0.05, DistinctLimit: 100, Seed: 9, Renormalize: true})
-	var buf bytes.Buffer
-	if err := SaveSmallGroup(&buf, p); err == nil {
-		t.Error("saving renormalized storage should be rejected")
-	}
-}
-
 func TestRenormalizerSharedDims(t *testing.T) {
-	db, err := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 0.05, Zipf: 1.5, Seed: 10})
+	db, err := scenario.BuiltinDatabase("tpch", 5000, 1.5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

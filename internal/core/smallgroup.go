@@ -118,8 +118,8 @@ type SmallGroupConfig struct {
 	// the per-column frequency counters of scan 1 and the materialisation of
 	// the small group tables across Workers goroutines; at runtime the
 	// rewritten query's steps execute as parallel tasks over partitioned
-	// scans (RewritePlan.Workers). 0 preserves the fully serial paths.
-	// Outputs are identical for every value: parallel pre-processing
+	// scans (RewritePlan.Workers). 0 means 1: no parallelism. Outputs are
+	// identical for every value: parallel pre-processing
 	// partitions work whose results never depend on completion order, and
 	// all randomness stays in the single-threaded second scan.
 	Workers int

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 
 	"dynsample/internal/catalog"
@@ -11,9 +9,10 @@ import (
 // Checksummed snapshot persistence: SaveSmallGroup's raw stream wrapped in
 // the catalog container (magic header, per-chunk CRC32, checksummed
 // trailer), so truncation and bit rot are detected with a precise error
-// instead of being decoded into garbage sample tables. This is the format
-// aqpcli -save writes and the sample catalog stores; LoadSmallGroupAny
-// still accepts the legacy raw format for files written by older builds.
+// instead of being decoded into garbage sample tables. This is the only
+// format aqpcli -save writes and -restore reads; the raw stream itself is
+// never a file of its own (the catalog wraps the same container around an
+// ingest checkpoint, which embeds the raw stream).
 
 // SaveSmallGroupSnapshot writes p in the checksummed snapshot container.
 func SaveSmallGroupSnapshot(w io.Writer, p Prepared) error {
@@ -36,25 +35,4 @@ func LoadSmallGroupSnapshot(r io.Reader) (Prepared, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// LoadSmallGroupAny sniffs the stream's magic and loads either a
-// checksummed snapshot (SaveSmallGroupSnapshot) or a legacy raw store
-// (SaveSmallGroup). Legacy files carry no integrity protection; loading
-// them still works but re-saving through the snapshot writer is
-// recommended.
-func LoadSmallGroupAny(r io.Reader) (Prepared, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading store header: %w", err)
-	}
-	switch string(head) {
-	case "DSSN": // catalog snapshot container ("DSSNAP01")
-		return LoadSmallGroupSnapshot(br)
-	case storeMagic:
-		return LoadSmallGroup(br)
-	default:
-		return nil, fmt.Errorf("core: unrecognised sample store magic %q", head)
-	}
 }

@@ -15,7 +15,9 @@ import (
 // database" (§3.1) so the runtime phase can use them across sessions;
 // SaveSmallGroup and LoadSmallGroup provide the same durability for this
 // implementation. A loaded Prepared answers queries without access to the
-// base data.
+// base data. The raw "DSSG" stream is only ever a payload: files hold it
+// inside the checksummed snapshot container (SaveSmallGroupSnapshot), and
+// catalog generations inside an ingest checkpoint.
 
 const storeMagic = "DSSG"
 

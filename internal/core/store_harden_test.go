@@ -109,7 +109,8 @@ func TestLoadSmallGroupHostileLengthPrefixes(t *testing.T) {
 }
 
 // TestSnapshotStoreRoundTrip covers the checksummed container around the
-// raw store, and LoadSmallGroupAny's format sniffing for both formats.
+// raw store. The raw stream on its own is not a loadable file: it is
+// rejected with a bad-magic error, like any other foreign bytes.
 func TestSnapshotStoreRoundTrip(t *testing.T) {
 	db := skewedDB(t, 3000)
 	orig := prep(t, db, SmallGroupConfig{BaseRate: 0.05, DistinctLimit: 100, Seed: 3})
@@ -118,23 +119,23 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 	if err := SaveSmallGroupSnapshot(&snap, orig); err != nil {
 		t.Fatal(err)
 	}
+	loaded, err := LoadSmallGroupSnapshot(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.SampleRows() != orig.SampleRows() {
+		t.Errorf("sample rows %d vs %d", loaded.SampleRows(), orig.SampleRows())
+	}
+
 	var raw bytes.Buffer
 	if err := SaveSmallGroup(&raw, orig); err != nil {
 		t.Fatal(err)
 	}
-
-	for name, b := range map[string][]byte{"snapshot": snap.Bytes(), "legacy raw": raw.Bytes()} {
-		loaded, err := LoadSmallGroupAny(bytes.NewReader(b))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for name, b := range map[string][]byte{"raw DSSG stream": raw.Bytes(), "garbage": []byte("GARBAGE!")} {
+		_, err := LoadSmallGroupSnapshot(bytes.NewReader(b))
+		if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+			t.Errorf("%s: err = %v, want a bad snapshot magic error", name, err)
 		}
-		if loaded.SampleRows() != orig.SampleRows() {
-			t.Errorf("%s: sample rows %d vs %d", name, loaded.SampleRows(), orig.SampleRows())
-		}
-	}
-	if _, err := LoadSmallGroupAny(bytes.NewReader([]byte("GARBAGE!"))); err == nil ||
-		!strings.Contains(err.Error(), "unrecognised") {
-		t.Fatalf("garbage magic: err = %v", err)
 	}
 
 	// The container must reject corruption anywhere, including in table data

@@ -143,3 +143,12 @@ func TestTruncatedStreamRejected(t *testing.T) {
 		}
 	}
 }
+
+func TestRenormalizedSaveRejected(t *testing.T) {
+	db := skewedDB(t, 2000)
+	p := prep(t, db, SmallGroupConfig{BaseRate: 0.05, DistinctLimit: 100, Seed: 9, Renormalize: true})
+	var buf bytes.Buffer
+	if err := SaveSmallGroup(&buf, p); err == nil {
+		t.Error("saving renormalized storage should be rejected")
+	}
+}

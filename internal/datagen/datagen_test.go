@@ -1,206 +1,179 @@
-package datagen
+// Package datagen_test checks the paper's two evaluation databases (§5.2.1):
+// the skewed TPC-H star TPCHxGyz and the wide SALES star, as generated from
+// the embedded scenario specs by scenario.BuiltinDatabase. The experiments,
+// examples and command-line tools all draw their data this way, so these
+// tests pin the shape, skew and determinism they depend on.
+package datagen_test
 
 import (
 	"math"
 	"testing"
 
 	"dynsample/internal/engine"
+	"dynsample/internal/scenario"
 )
 
-func TestTPCHShape(t *testing.T) {
-	db, err := TPCH(TPCHConfig{ScaleFactor: 0.1, Zipf: 1.5, Seed: 1})
+func generate(t *testing.T, name string, rows int, z float64, seed int64) *engine.Database {
+	t.Helper()
+	db, err := scenario.BuiltinDatabase(name, rows, z, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.NumRows(); got != 10000 {
-		t.Errorf("fact rows = %d, want 10000", got)
+	return db
+}
+
+// checkShape checks the fact rows, the dimension count, the width of the
+// joined view, that cols are in it and that the FK columns are not.
+func checkShape(t *testing.T, db *engine.Database, rows, dims, minCols, maxCols int, cols, fks []string) {
+	t.Helper()
+	if db.NumRows() != rows {
+		t.Errorf("fact rows = %d, want %d", db.NumRows(), rows)
 	}
-	if len(db.Dims) != 4 {
-		t.Errorf("dims = %d, want 4", len(db.Dims))
+	if len(db.Dims) != dims {
+		t.Errorf("dims = %d, want %d", len(db.Dims), dims)
 	}
-	for _, col := range []string{"l_quantity", "l_extendedprice", "l_shipmode",
-		"p_brand", "s_nation", "c_mktsegment", "o_orderpriority"} {
+	if got := len(db.Columns()); got < minCols || got > maxCols {
+		t.Errorf("view columns = %d, want %d-%d", got, minCols, maxCols)
+	}
+	for _, col := range cols {
 		if !db.HasColumn(col) {
 			t.Errorf("missing column %q", col)
 		}
 	}
-	for _, fk := range []string{"part_fk", "supp_fk", "cust_fk", "ord_fk"} {
+	for _, fk := range fks {
 		if db.HasColumn(fk) {
 			t.Errorf("FK column %q leaked into view", fk)
 		}
 	}
-	for _, m := range TPCHMeasures {
-		if !db.HasColumn(m) {
-			t.Errorf("measure %q missing", m)
-		}
-	}
 }
 
-func TestTPCHSkewIncreasesTopValueShare(t *testing.T) {
-	top := func(z float64) float64 {
-		db, err := TPCH(TPCHConfig{ScaleFactor: 0.05, Zipf: z, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vcs, err := db.DistinctValues("l_shipmode")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(vcs[0].Count) / float64(db.NumRows())
-	}
-	low, high := top(0.5), top(2.5)
-	if high <= low {
-		t.Errorf("top-value share did not grow with skew: z=0.5 %.3f vs z=2.5 %.3f", low, high)
-	}
-	if high < 0.7 {
-		t.Errorf("z=2.5 top share %.3f unexpectedly small", high)
-	}
-}
-
-func TestTPCHDeterministic(t *testing.T) {
-	a, err := TPCH(TPCHConfig{ScaleFactor: 0.02, Zipf: 1.0, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TPCH(TPCHConfig{ScaleFactor: 0.02, Zipf: 1.0, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qa, _ := a.Accessor("l_quantity")
-	qb, _ := b.Accessor("l_quantity")
-	for i := 0; i < a.NumRows(); i++ {
-		if qa.Value(i) != qb.Value(i) {
-			t.Fatalf("row %d differs across same-seed generations", i)
-		}
-	}
-}
-
-func TestTPCHValidation(t *testing.T) {
-	if _, err := TPCH(TPCHConfig{ScaleFactor: 0}); err == nil {
-		t.Error("zero scale factor not rejected")
-	}
-	if _, err := TPCH(TPCHConfig{ScaleFactor: 1, Zipf: -1}); err == nil {
-		t.Error("negative zipf not rejected")
-	}
-}
-
-func TestTPCHQueriesRun(t *testing.T) {
-	db, err := TPCH(TPCHConfig{ScaleFactor: 0.05, Zipf: 2.0, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := &engine.Query{
-		GroupBy: []string{"s_region", "l_returnflag"},
-		Aggs:    []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "l_extendedprice"}},
-	}
+// countsSumToRows runs q exactly, its first aggregate a COUNT, and checks
+// that the dimension joins account for every fact row.
+func countsSumToRows(t *testing.T, db *engine.Database, q *engine.Query) {
+	t.Helper()
 	res, err := engine.ExecuteExact(db, q)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.NumGroups() == 0 {
-		t.Error("no groups")
 	}
 	var total float64
 	for _, g := range res.Groups() {
 		total += g.Vals[0]
 	}
-	if int(total) != db.NumRows() {
-		t.Errorf("counts sum to %d, want %d", int(total), db.NumRows())
+	if res.NumGroups() == 0 || int(total) != db.NumRows() {
+		t.Errorf("%d groups by %v, counts sum to %d, want %d", res.NumGroups(), q.GroupBy, int(total), db.NumRows())
 	}
+}
+
+// checkDeterministic generates name twice with one seed and once with
+// another, and compares cols row by row.
+func checkDeterministic(t *testing.T, name string, rows int, cols ...string) {
+	t.Helper()
+	dump := func(seed int64) []any {
+		db := generate(t, name, rows, 1.2, seed)
+		var vals []any
+		for _, col := range cols {
+			acc, err := db.Accessor(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < db.NumRows(); i++ {
+				vals = append(vals, acc.Value(i))
+			}
+		}
+		return vals
+	}
+	a, b, c := dump(7), dump(7), dump(8)
+	same := func(x, y []any) bool {
+		for i := range x {
+			if x[i] != y[i] {
+				return false
+			}
+		}
+		return len(x) == len(y)
+	}
+	if !same(a, b) {
+		t.Error("same seed generated different data")
+	}
+	if same(a, c) {
+		t.Error("different seeds generated identical data")
+	}
+}
+
+// checkValidation checks that non-positive fact rows and a negative or NaN
+// skew are errors, not panics.
+func checkValidation(t *testing.T, name string) {
+	t.Helper()
+	for _, tc := range []struct {
+		rows int
+		z    float64
+	}{{0, 1}, {-5, 1}, {1000, -1}, {1000, math.NaN()}} {
+		if _, err := scenario.BuiltinDatabase(name, tc.rows, tc.z, 1); err == nil {
+			t.Errorf("%s with %d rows, z=%g accepted", name, tc.rows, tc.z)
+		}
+	}
+}
+
+func TestTPCHShape(t *testing.T) {
+	checkShape(t, generate(t, "tpch", 10000, 1.5, 1), 10000, 4, 30, 40,
+		[]string{"l_quantity", "l_extendedprice", "l_shipmode", "p_brand", "s_nation", "c_mktsegment", "o_orderpriority"},
+		[]string{"part_fk", "supp_fk", "cust_fk", "ord_fk"})
+}
+
+func TestTPCHDeterministic(t *testing.T) {
+	checkDeterministic(t, "tpch", 2000, "l_quantity", "p_brand")
+}
+
+func TestTPCHValidation(t *testing.T) { checkValidation(t, "tpch") }
+
+func TestTPCHQueriesRun(t *testing.T) {
+	countsSumToRows(t, generate(t, "tpch", 5000, 2.0, 3), &engine.Query{
+		GroupBy: []string{"s_region", "l_returnflag"},
+		Aggs:    []engine.Aggregate{{Kind: engine.Count}, {Kind: engine.Sum, Col: "l_extendedprice"}},
+	})
 }
 
 func TestSalesShape(t *testing.T) {
-	db, err := Sales(SalesConfig{FactRows: 5000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.NumRows() != 5000 {
-		t.Errorf("fact rows = %d", db.NumRows())
-	}
-	if len(db.Dims) != 6 {
-		t.Errorf("dims = %d, want 6", len(db.Dims))
-	}
 	// Column budget: roughly 245 logical columns (FKs excluded from view).
-	got := len(db.Columns())
-	if got < 200 || got > 245 {
-		t.Errorf("view columns = %d, want ~200-245", got)
-	}
-	for _, col := range []string{"product_line", "store_region", "customer_segment", "sale_amount"} {
-		if !db.HasColumn(col) {
-			t.Errorf("missing column %q", col)
-		}
-	}
-	for _, m := range SalesMeasures {
-		if !db.HasColumn(m) {
-			t.Errorf("measure %q missing", m)
-		}
-	}
+	checkShape(t, generate(t, "sales", 5000, 1.2, 4), 5000, 6, 200, 245,
+		[]string{"product_line", "store_region", "customer_segment", "sale_amount", "units", "margin"},
+		[]string{"product_fk", "store_fk", "customer_fk"})
 }
 
 func TestSalesMeasureSkew(t *testing.T) {
-	db, err := Sales(SalesConfig{FactRows: 20000, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := generate(t, "sales", 20000, 1.2, 5)
 	acc, err := db.Accessor("sale_amount")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum, max float64
-	n := db.NumRows()
-	for i := 0; i < n; i++ {
+	for i := 0; i < db.NumRows(); i++ {
 		v := acc.Float(i)
 		if v <= 0 {
 			t.Fatalf("non-positive sale_amount %g", v)
 		}
 		sum += v
-		if v > max {
-			max = v
-		}
+		max = math.Max(max, v)
 	}
-	mean := sum / float64(n)
 	// Log-normal tail: the max should dwarf the mean.
-	if max < 10*mean {
+	if mean := sum / float64(db.NumRows()); max < 10*mean {
 		t.Errorf("sale_amount not heavy-tailed: max %g mean %g", max, mean)
 	}
 }
 
 func TestSalesDeterministic(t *testing.T) {
-	a, _ := Sales(SalesConfig{FactRows: 1000, Seed: 9})
-	b, _ := Sales(SalesConfig{FactRows: 1000, Seed: 9})
-	accA, _ := a.Accessor("sale_amount")
-	accB, _ := b.Accessor("sale_amount")
-	for i := 0; i < 1000; i++ {
-		if math.Abs(accA.Float(i)-accB.Float(i)) > 0 {
-			t.Fatalf("row %d differs across same-seed generations", i)
-		}
-	}
+	checkDeterministic(t, "sales", 1000, "sale_amount", "store_region", "product_attr03")
 }
 
 func TestSalesValidation(t *testing.T) {
-	if _, err := Sales(SalesConfig{FactRows: 10}); err == nil {
-		t.Error("tiny FactRows not rejected")
+	checkValidation(t, "sales")
+	if _, err := scenario.BuiltinDatabase("nope", 1000, 1.2, 1); err == nil {
+		t.Error("unknown database accepted")
 	}
 }
 
 func TestSalesDimensionJoins(t *testing.T) {
-	db, err := Sales(SalesConfig{FactRows: 2000, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := &engine.Query{
+	countsSumToRows(t, generate(t, "sales", 2000, 1.2, 6), &engine.Query{
 		GroupBy: []string{"store_region"},
 		Aggs:    []engine.Aggregate{{Kind: engine.Count}},
-	}
-	res, err := engine.ExecuteExact(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, g := range res.Groups() {
-		total += g.Vals[0]
-	}
-	if int(total) != 2000 {
-		t.Errorf("counts sum to %d", int(total))
-	}
+	})
 }

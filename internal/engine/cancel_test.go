@@ -10,7 +10,7 @@ import (
 )
 
 // TestExecuteCtxBackgroundBitIdentical: an uncancelled ExecuteCtx must agree
-// exactly with Execute for serial, single-worker and multi-worker scans.
+// exactly with Execute for zero (one), single-worker and multi-worker scans.
 func TestExecuteCtxBackgroundBitIdentical(t *testing.T) {
 	tbl := randomScanTable(11, 3*ScanShardRows+123)
 	q := scanQuery()
@@ -28,9 +28,8 @@ func TestExecuteCtxBackgroundBitIdentical(t *testing.T) {
 	}
 }
 
-// TestExecuteCtxSerialMatchesParallelAcrossWorkers: the ctx-aware serial
-// kernel (chunked per shard) must still accumulate in pure row order, and
-// every worker count >= 1 must agree bit-for-bit.
+// TestExecuteCtxSerialMatchesAcrossWorkers: every worker count must agree
+// bit-for-bit with a single worker.
 func TestExecuteCtxSerialMatchesAcrossWorkers(t *testing.T) {
 	tbl := randomScanTable(7, 2*ScanShardRows+57)
 	q := scanQuery()

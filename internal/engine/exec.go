@@ -28,17 +28,13 @@ type ExecOptions struct {
 	// itself a uniform sample, so this is the planner's sampling-fraction
 	// knob; the caller compensates by raising Scale.
 	MaxRows int
-	// Workers selects the scan kernel. 0 (the zero value) runs the serial
-	// single-pass kernel, unchanged from the original implementation. Any
-	// value >= 1 runs the partitioned kernel: the source is split into
-	// fixed row-range shards (ScanShardRows rows each), up to Workers
-	// goroutines scan shards concurrently, and the per-shard partial
-	// Results are merged in shard order. Because the shard boundaries and
-	// the merge order depend only on the source size — never on Workers —
-	// the partitioned kernel returns bit-identical answers for every
-	// worker count (Workers=1 and Workers=N agree exactly; they may differ
-	// from the serial kernel in the last float ulp, since float addition
-	// is not associative).
+	// Workers is the scan's goroutine budget; 0 means 1. The source is
+	// split into fixed row-range shards (ScanShardRows rows each), up to
+	// Workers goroutines scan shards concurrently, and the per-shard
+	// partial Results are merged in shard order. Because the shard
+	// boundaries and the merge order depend only on the source size —
+	// never on Workers — every worker count returns bit-identical answers,
+	// and so does ExecuteExact.
 	Workers int
 }
 
@@ -99,22 +95,21 @@ func bindQuery(src Source, q *Query) (*boundQuery, error) {
 // weight 1. The result's group values are sums of weight*Scale*x where x is
 // 1 for COUNT and the measure value for SUM.
 //
-// With opt.Workers >= 1 the scan is partitioned into row-range shards
-// evaluated concurrently (see ExecOptions.Workers); sources and predicates
-// are only read, so a single source may serve many Execute calls at once.
+// The scan is partitioned into row-range shards evaluated concurrently (see
+// ExecOptions.Workers); sources and predicates are only read, so a single
+// source may serve many Execute calls at once.
 //
 // Execute is ExecuteCtx with a background context — it cannot be cancelled.
 func Execute(src Source, q *Query, opt ExecOptions) (*Result, error) {
 	return ExecuteCtx(context.Background(), src, q, opt)
 }
 
-// ExecuteCtx is Execute under a context. Cancellation is observed at shard
-// boundaries — between ScanShardRows-row chunks on the serial path, between
-// shard tasks on the partitioned path — never inside a shard, so an
-// uncancelled ExecuteCtx returns answers bit-identical to Execute for every
-// worker count. When ctx is cancelled or its deadline passes mid-scan,
-// ExecuteCtx returns ctx.Err() promptly (in-flight shards finish first) and
-// no partial result.
+// ExecuteCtx is Execute under a context. Cancellation is observed between
+// ScanShardRows-row shard tasks, never inside a shard, so an uncancelled
+// ExecuteCtx returns answers bit-identical to Execute for every worker
+// count. When ctx is cancelled or its deadline passes mid-scan, ExecuteCtx
+// returns ctx.Err() promptly (in-flight shards finish first) and no partial
+// result.
 func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Result, error) {
 	scale := opt.Scale
 	if scale == 0 {
@@ -129,22 +124,10 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 		n = opt.MaxRows
 	}
 	shards := parallel.Shards(n, ScanShardRows)
-	if opt.Workers <= 0 || len(shards) <= 1 {
-		// Serial kernel: one Result accumulated in row order, scanned
-		// chunk-by-chunk so long scans still observe cancellation. The
-		// accumulation order is identical to a single [0, n) pass.
-		res := NewResult(q.GroupBy, q.Aggs)
-		for i, sh := range shards {
-			faults.Fire(ctx, faults.PointScanShard, i)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			scanRange(res, src, q, bound, opt, scale, sh.Lo, sh.Hi)
-		}
-		observeScan(res.RowsScanned, len(shards))
-		return res, nil
+	if len(shards) == 0 {
+		observeScan(0, 0)
+		return NewResult(q.GroupBy, q.Aggs), nil
 	}
-
 	partials := make([]*Result, len(shards))
 	err = parallel.ForEachCtx(ctx, opt.Workers, len(shards), func(i int) error {
 		faults.Fire(ctx, faults.PointScanShard, i)
@@ -175,13 +158,6 @@ func ExecuteCtx(ctx context.Context, src Source, q *Query, opt ExecOptions) (*Re
 // run concurrently with other ranges of the same source.
 func executeRange(src Source, q *Query, bound *boundQuery, opt ExecOptions, scale float64, lo, hi int) *Result {
 	res := NewResult(q.GroupBy, q.Aggs)
-	scanRange(res, src, q, bound, opt, scale, lo, hi)
-	return res
-}
-
-// scanRange evaluates source rows [lo, hi) into res, which must have been
-// built for the same query shape.
-func scanRange(res *Result, src Source, q *Query, bound *boundQuery, opt ExecOptions, scale float64, lo, hi int) {
 	keyVals := make([]Value, len(q.GroupBy))
 	keyBuf := make([]byte, 0, 64)
 	filtering := opt.ExcludeMask.Width() > 0
@@ -226,6 +202,7 @@ rows:
 			g.Exact = true
 		}
 	}
+	return res
 }
 
 // ExecuteExact runs a query against the base database with no sampling; the

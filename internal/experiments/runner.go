@@ -4,15 +4,19 @@ import (
 	"fmt"
 
 	"dynsample/internal/core"
-	"dynsample/internal/datagen"
 	"dynsample/internal/engine"
 	"dynsample/internal/metrics"
+	"dynsample/internal/scenario"
 	"dynsample/internal/uniform"
 	"dynsample/internal/workload"
 )
 
 // AllocationRatio is γ = t/r = 0.5 throughout §5, as recommended by §4.4.
 const AllocationRatio = 0.5
+
+// salesZipf is the SALES database's categorical skew: moderate, as the paper
+// observes SALES is less skewed than TPCH1G2.0z.
+const salesZipf = 1.2
 
 // Scale controls the size of every experiment so the suite can run anywhere
 // from unit-test speed to paper scale. The zero value is filled with the
@@ -109,15 +113,13 @@ func (r *Runner) tpchSF(sf float64, z float64, rows int) (*engine.Database, erro
 	if db, ok := r.tpch[key]; ok {
 		return db, nil
 	}
-	db, err := datagen.TPCH(datagen.TPCHConfig{
-		ScaleFactor: sf,
-		Zipf:        z,
-		RowsPerSF:   int(float64(rows) / sf),
-		Seed:        r.Scale.Seed + int64(z*1000),
-	})
+	db, err := scenario.BuiltinDatabase("tpch", rows, z, r.Scale.Seed+int64(z*1000))
 	if err != nil {
 		return nil, err
 	}
+	// The name keys the prepared-state and ground-truth caches, so it must
+	// tell the databases apart: TPCHxGyz, as in the paper.
+	db.Name = fmt.Sprintf("TPCH%gG%.1fz", sf, z)
 	r.tpch[key] = db
 	return db, nil
 }
@@ -127,7 +129,7 @@ func (r *Runner) Sales() (*engine.Database, error) {
 	if r.sales != nil {
 		return r.sales, nil
 	}
-	db, err := datagen.Sales(datagen.SalesConfig{FactRows: r.Scale.SalesRows, Seed: r.Scale.Seed + 77})
+	db, err := scenario.BuiltinDatabase("sales", r.Scale.SalesRows, salesZipf, r.Scale.Seed+77)
 	if err != nil {
 		return nil, err
 	}

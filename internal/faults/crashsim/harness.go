@@ -148,8 +148,8 @@ func BatchRows(k int) [][]engine.Value {
 
 // Start runs the recovery procedure cmd/aqpd uses and leaves the harness
 // with a live coordinator: regenerate the base, restore the newest
-// verifying catalog snapshot (checkpointed or legacy; preprocess from
-// scratch when there is none), finish any interrupted segment GC below the
+// verifying catalog snapshot (preprocess from scratch when there is
+// none), finish any interrupted segment GC below the
 // checkpoint, seed the idempotency window, and replay the WAL tail. It
 // fails the test on any recovery error and returns the replay stats so
 // scenarios can assert recovery work was bounded.
@@ -169,7 +169,7 @@ func (h *Harness) Start() ingest.ReplayStats {
 		if derr != nil {
 			return derr
 		}
-		if s.Checkpoint != nil && s.Checkpoint.BaseRows != uint64(baseRowsN) {
+		if s.Checkpoint.BaseRows != uint64(baseRowsN) {
 			return fmt.Errorf("checkpoint covers %d base rows, base has %d", s.Checkpoint.BaseRows, baseRowsN)
 		}
 		snap = s
@@ -192,7 +192,7 @@ func (h *Harness) Start() ingest.ReplayStats {
 		h.t.Fatal(err)
 	}
 	baseRows := 0
-	if snap != nil && snap.Checkpoint != nil {
+	if snap != nil {
 		baseRows = int(snap.Checkpoint.BaseRows)
 		if _, err := w.RemoveSegmentsBelow(snap.Checkpoint.Seg); err != nil {
 			h.t.Fatalf("crashsim: startup segment gc: %v", err)

@@ -13,7 +13,8 @@ import (
 
 // A checkpointed snapshot ties a saved sample family to the WAL position it
 // covers, which is what lets the WAL be garbage-collected and restart replay
-// be bounded. The container is:
+// be bounded. It is the only payload a catalog generation holds. The
+// container is:
 //
 //	[magic "DSCP0001"]
 //	[dataGen u64][baseRows u64][walSeg u64][walOff u64]
@@ -27,11 +28,9 @@ import (
 // regenerated at startup — so once the covering WAL segments are deleted the
 // snapshot itself must carry the ingested rows, or they would exist nowhere.
 // The idempotency entries let a restart keep answering duplicate batch ids
-// whose WAL records were garbage-collected.
-//
-// Legacy snapshots (a bare SaveSmallGroup stream, magic "DSSG") still decode:
-// DecodeSnapshot sniffs the magic and returns them with a nil Checkpoint,
-// which recovery treats as "covers nothing — replay the whole WAL".
+// whose WAL records were garbage-collected. A server without ingest writes a
+// zero checkpoint (only BaseRows set): it covers nothing, so the whole WAL
+// replays.
 const (
 	ckMagic = "DSCP0001"
 
@@ -58,9 +57,9 @@ type IdentEntry struct {
 	Stats core.BatchStats
 }
 
-// Snapshot is a decoded catalog snapshot in either format.
+// Snapshot is a decoded catalog snapshot.
 type Snapshot struct {
-	// Checkpoint is nil for legacy (pre-checkpoint) snapshots.
+	// Checkpoint is the WAL position the snapshot covers (never nil).
 	Checkpoint *Checkpoint
 	// Prepared is the sample family (always present).
 	Prepared core.Prepared
@@ -124,27 +123,16 @@ func WriteCheckpoint(w io.Writer, p core.Prepared, ck Checkpoint, delta *engine.
 	return core.SaveSmallGroup(w, p)
 }
 
-// DecodeSnapshot reads a snapshot in either format, sniffing the magic. A
-// legacy SaveSmallGroup stream decodes to a Snapshot with a nil Checkpoint.
+// DecodeSnapshot reads a snapshot written by WriteCheckpoint. Any other
+// payload, including a bare SaveSmallGroup stream, is rejected.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: reading snapshot header: %w", err)
-	}
-	if string(head) != "DSCP" {
-		p, err := core.LoadSmallGroupAny(br)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{Prepared: p}, nil
-	}
 	magic := make([]byte, len(ckMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("ingest: reading checkpoint header: %w", err)
 	}
 	if string(magic) != ckMagic {
-		return nil, fmt.Errorf("ingest: unsupported checkpoint version %q", magic)
+		return nil, fmt.Errorf("ingest: not a checkpointed snapshot (magic %q, want %q)", magic, ckMagic)
 	}
 	readU64 := func() (uint64, error) {
 		var b [8]byte
@@ -161,6 +149,7 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		return binary.LittleEndian.Uint32(b[:]), nil
 	}
 	ck := &Checkpoint{}
+	var err error
 	if ck.DataGen, err = readU64(); err != nil {
 		return nil, err
 	}
@@ -252,13 +241,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 // sample family under strategy. The caller (startup recovery) must verify
 // sys currently holds exactly Checkpoint.BaseRows base rows — the delta was
 // cut past that point, so a different base would splice it at the wrong
-// offset. Legacy snapshots (nil Checkpoint) only register the Prepared.
+// offset.
 func (s *Snapshot) Restore(sys *core.System, strategy string) error {
 	ck := s.Checkpoint
-	if ck == nil {
-		sys.AddPrepared(strategy, s.Prepared)
-		return nil
-	}
 	if got := sys.DB().NumRows(); uint64(got) != ck.BaseRows {
 		return fmt.Errorf("ingest: checkpoint was cut over %d base rows but the regenerated base has %d (changed -rows?); discard the snapshot or regenerate the original base",
 			ck.BaseRows, got)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dynsample/internal/catalog"
@@ -347,6 +348,50 @@ func TestCheckpointRefusedDuringRebuild(t *testing.T) {
 		t.Fatal("SaveCheckpoint succeeded during a rebuild")
 	}
 	c.AbortRebuild()
+}
+
+// TestCatalogRejectsBareSampleStore: a catalog generation must hold a
+// checkpoint. One holding a bare SaveSmallGroup stream (as older builds
+// wrote without ingest) is rejected by DecodeSnapshot, so recovery skips it
+// and falls back to an older generation, here a zero checkpoint that
+// covers nothing.
+func TestCatalogRejectsBareSampleStore(t *testing.T) {
+	const n = 2000
+	cat, err := catalog.Open(t.TempDir(), catalog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _, _ := newCheckpointSystem(t, n, t.TempDir(), Config{Online: core.OnlineConfig{Seed: 95}})
+	p, _ := sys.Prepared("smallgroup")
+	if _, err := cat.Save(func(w io.Writer) error {
+		return WriteCheckpoint(w, p, Checkpoint{BaseRows: n}, nil, nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.Save(func(w io.Writer) error { return core.SaveSmallGroup(w, p) }); err != nil {
+		t.Fatal(err)
+	}
+
+	var snap *Snapshot
+	res, err := cat.LoadLatest(func(r io.Reader) error {
+		s, derr := DecodeSnapshot(r)
+		if derr == nil {
+			snap = s
+		}
+		return derr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generation != 1 || len(res.Skipped) != 1 || res.Skipped[0].Generation != 2 {
+		t.Fatalf("LoadLatest = gen %d skipped %+v, want generation 1 with generation 2 skipped", res.Generation, res.Skipped)
+	}
+	if msg := res.Skipped[0].Err.Error(); !strings.Contains(msg, "not a checkpointed snapshot") {
+		t.Errorf("bare stream rejected with %q, want a not-a-checkpoint error", msg)
+	}
+	if want := (Checkpoint{BaseRows: n}); *snap.Checkpoint != want || snap.Delta != nil || len(snap.IDs) != 0 {
+		t.Fatalf("zero checkpoint decoded as %+v (delta %v, %d ids)", *snap.Checkpoint, snap.Delta, len(snap.IDs))
+	}
 }
 
 // TestWALTornSegmentCreationRepaired: a crash between creating the next

@@ -39,7 +39,7 @@ type StrategySpec struct {
 	BaseRate float64 `json:"base_rate"`
 	// Seed drives sample construction.
 	Seed int64 `json:"seed"`
-	// Workers is the runtime scan parallelism; zero means sequential.
+	// Workers is the runtime scan parallelism; zero means one worker.
 	Workers int `json:"workers,omitempty"`
 }
 

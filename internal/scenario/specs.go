@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"embed"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+
+	"dynsample/internal/engine"
 )
 
 //go:embed specs/*.json
@@ -39,4 +42,56 @@ func BuiltinSpec(name string) (*Spec, error) {
 		return nil, fmt.Errorf("builtin spec %q: %w", name, err)
 	}
 	return s, nil
+}
+
+// BuiltinDatabase generates builtin spec name at a chosen size and skew:
+// the tables are resized to factRows fact rows (see Spec.Resize), every zipf
+// column and the padding take skew z, and seed replaces the spec's seed.
+func BuiltinDatabase(name string, factRows int, z float64, seed int64) (*engine.Database, error) {
+	if z < 0 || math.IsNaN(z) || math.IsInf(z, 0) {
+		return nil, fmt.Errorf("scenario: zipf skew %g must be finite and >= 0", z)
+	}
+	s, err := BuiltinSpec(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Resize(factRows); err != nil {
+		return nil, err
+	}
+	for i := range s.Tables {
+		t := &s.Tables[i]
+		for j := range t.Columns {
+			if t.Columns[j].Dist.Kind == DistZipf {
+				t.Columns[j].Dist.Z = z
+			}
+		}
+		if t.Padding != nil {
+			t.Padding.Z = z
+		}
+	}
+	s.Seed = seed
+	return Generate(s)
+}
+
+// Resize sets the fact table to factRows rows and scales every other table
+// by the same factor, never below min(10, its declared size). This is the
+// one row-override rule of the command-line tools and experiments.
+func (s *Spec) Resize(factRows int) error {
+	if factRows < 1 {
+		return fmt.Errorf("scenario: fact rows %d must be >= 1", factRows)
+	}
+	ft := s.FactTable()
+	if ft == nil {
+		return fmt.Errorf("scenario: spec %q has no fact table to resize", s.Name)
+	}
+	specFact := int64(ft.Rows)
+	for i := range s.Tables {
+		t := &s.Tables[i]
+		if t.Fact {
+			t.Rows = factRows
+		} else {
+			t.Rows = max(int(int64(t.Rows)*int64(factRows)/specFact), min(10, t.Rows))
+		}
+	}
+	return nil
 }

@@ -1,6 +1,9 @@
 package scenario
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestBuiltinSpecsListAndParse(t *testing.T) {
 	names := BuiltinSpecs()
@@ -90,5 +93,59 @@ func TestBuiltinSpecGenerates(t *testing.T) {
 	}
 	if len(db.Dims) != 6 {
 		t.Fatalf("dims = %d, want 6", len(db.Dims))
+	}
+}
+
+// BuiltinDatabase scales every dimension by the fact table's factor, never
+// below 10 rows.
+func TestBuiltinDatabaseScalesDimensions(t *testing.T) {
+	spec, err := BuiltinSpec("tpch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, tb := range spec.Tables {
+		want[tb.Name] = tb.Rows / 4
+	}
+	db, err := BuiltinDatabase("tpch", want["lineitem"], 2.0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{db.Fact.Name: db.Fact.NumRows()}
+	for _, d := range db.Dims {
+		got[d.Table.Name] = d.Table.NumRows()
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("table rows = %v, want %v", got, want)
+	}
+	small, err := BuiltinDatabase("sales", 100, 1.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range small.Dims {
+		if d.Table.NumRows() < 10 {
+			t.Errorf("%s shrank to %d rows", d.Table.Name, d.Table.NumRows())
+		}
+	}
+}
+
+// z reaches every zipf column, padding included: more skew puts more mass
+// on the most frequent value.
+func TestBuiltinDatabaseAppliesSkew(t *testing.T) {
+	top := func(name, col string, z float64) float64 {
+		db, err := BuiltinDatabase(name, 5000, z, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vcs, err := db.DistinctValues(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(vcs[0].Count) / float64(db.NumRows())
+	}
+	for _, c := range [][2]string{{"tpch", "l_shipmode"}, {"tpch", "p_brand"}, {"sales", "store_attr00"}} {
+		if low, high := top(c[0], c[1], 0), top(c[0], c[1], 2.5); high <= low {
+			t.Errorf("%s.%s: top-value share %.3f at z=2.5, %.3f at z=0", c[0], c[1], high, low)
+		}
 	}
 }

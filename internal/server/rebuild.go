@@ -12,6 +12,7 @@ import (
 
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
+	"dynsample/internal/ingest"
 	"dynsample/internal/obs"
 )
 
@@ -181,10 +182,12 @@ func (s *Server) Rebuild() (RebuildStatus, error) {
 		}
 	} else {
 		// Persist first, then swap: if the save fails we still swap (fresh
-		// samples beat stale ones) but report the durability gap.
+		// samples beat stale ones) but report the durability gap. Without
+		// ingest the snapshot is a zero checkpoint: it covers no WAL.
 		if rb.Catalog != nil {
+			ck := ingest.Checkpoint{BaseRows: uint64(s.sys.DB().NumRows())}
 			gen, err := rb.Catalog.Save(func(w io.Writer) error {
-				return core.SaveSmallGroup(w, p)
+				return ingest.WriteCheckpoint(w, p, ck, nil, nil)
 			})
 			if err != nil {
 				st.PersistError = err.Error()

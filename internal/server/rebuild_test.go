@@ -15,6 +15,7 @@ import (
 	"dynsample/internal/catalog"
 	"dynsample/internal/core"
 	"dynsample/internal/engine"
+	"dynsample/internal/ingest"
 	"dynsample/internal/randx"
 )
 
@@ -73,7 +74,7 @@ func TestRebuildUnderLoadZeroFailures(t *testing.T) {
 					return
 				default:
 				}
-				resp, body := post(t, hs, "/query", q)
+				resp, body := post(t, hs, "/v1/query", q)
 				total.Add(1)
 				if resp.StatusCode != http.StatusOK {
 					failures.Add(1)
@@ -86,7 +87,7 @@ func TestRebuildUnderLoadZeroFailures(t *testing.T) {
 
 	// Several rebuilds while the hammering goes on.
 	for i := 1; i <= 3; i++ {
-		resp, body := post(t, hs, "/admin/rebuild", struct{}{})
+		resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("rebuild %d: %d %s", i, resp.StatusCode, body)
 		}
@@ -118,8 +119,8 @@ func TestRebuildUnderLoadZeroFailures(t *testing.T) {
 	}
 	coldSrv := httptest.NewServer(New(coldSys, Config{}).Handler())
 	defer coldSrv.Close()
-	_, hotBody := post(t, hs, "/query", q)
-	_, coldBody := post(t, coldSrv, "/query", q)
+	_, hotBody := post(t, hs, "/v1/query", q)
+	_, coldBody := post(t, coldSrv, "/v1/query", q)
 	hot, cold := normalizeResponse(t, hotBody), normalizeResponse(t, coldBody)
 	if !reflect.DeepEqual(hot, cold) {
 		t.Fatalf("rebuilt answers diverge from cold build:\nhot:  %+v\ncold: %+v", hot, cold)
@@ -135,7 +136,7 @@ func TestRebuildSingleFlight(t *testing.T) {
 	if !srv.health.rebuilding.CompareAndSwap(false, true) {
 		t.Fatal("fixture already rebuilding")
 	}
-	resp, body := post(t, hs, "/admin/rebuild", struct{}{})
+	resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{})
 	srv.health.rebuilding.Store(false)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("concurrent rebuild: %d %s", resp.StatusCode, body)
@@ -145,7 +146,7 @@ func TestRebuildSingleFlight(t *testing.T) {
 		t.Fatalf("error body = %s", body)
 	}
 	// Slot released: the next rebuild succeeds.
-	resp, body = post(t, hs, "/admin/rebuild", struct{}{})
+	resp, body = post(t, hs, "/v1/admin/rebuild", struct{}{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild after release: %d %s", resp.StatusCode, body)
 	}
@@ -155,30 +156,34 @@ func TestRebuildSingleFlight(t *testing.T) {
 // instead of crashing.
 func TestRebuildNotConfigured(t *testing.T) {
 	hs := testServer(t)
-	resp, body := post(t, hs, "/admin/rebuild", struct{}{})
+	resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{})
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("unconfigured rebuild: %d %s", resp.StatusCode, body)
 	}
 }
 
 // TestRebuildPersistedSnapshotRoundTrips: the generation a rebuild persists
-// is loadable by catalog recovery and answers like the serving state.
+// without ingest is a zero checkpoint over the base rows, loadable by
+// catalog recovery.
 func TestRebuildPersistedSnapshotRoundTrips(t *testing.T) {
-	_, hs, cat, _ := rebuildFixture(t)
-	if resp, body := post(t, hs, "/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
+	srv, hs, cat, _ := rebuildFixture(t)
+	if resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild: %d %s", resp.StatusCode, body)
 	}
-	var p core.Prepared
+	var snap *ingest.Snapshot
 	res, err := cat.LoadLatest(func(r io.Reader) error {
 		var derr error
-		p, derr = core.LoadSmallGroup(r)
+		snap, derr = ingest.DecodeSnapshot(r)
 		return derr
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Generation != 1 || p == nil || p.SampleRows() == 0 {
-		t.Fatalf("recovered gen %d, rows %v", res.Generation, p)
+	if res.Generation != 1 || snap.Prepared.SampleRows() == 0 {
+		t.Fatalf("recovered gen %d, rows %d", res.Generation, snap.Prepared.SampleRows())
+	}
+	if want := (ingest.Checkpoint{BaseRows: uint64(srv.sys.DB().NumRows())}); *snap.Checkpoint != want {
+		t.Fatalf("checkpoint = %+v, want %+v", *snap.Checkpoint, want)
 	}
 }
 
@@ -215,7 +220,7 @@ func TestHealthzReadyzEndpoints(t *testing.T) {
 	}
 
 	// After a rebuild, healthz reflects the new generation and source.
-	if resp, body := post(t, hs, "/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, hs, "/v1/admin/rebuild", struct{}{}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild: %d %s", resp.StatusCode, body)
 	}
 	resp, _ = http.Get(hs.URL + "/healthz")
@@ -278,7 +283,7 @@ func TestAutoRebuildTicks(t *testing.T) {
 		t.Fatalf("auto rebuild reached generation %d, want >= 2", g)
 	}
 	// Server still healthy afterwards.
-	if resp, body := post(t, hs, "/query", QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, hs, "/v1/query", QueryRequest{SQL: "SELECT region, COUNT(*) FROM T GROUP BY region"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after auto rebuilds: %d %s", resp.StatusCode, body)
 	}
 }

@@ -6,12 +6,13 @@
 //
 // # API surface
 //
-// The stable client API is versioned under /v1 (POST /v1/query, POST
-// /v1/exact, GET /v1/columns, GET /v1/strategies, POST /v1/admin/rebuild);
-// the original unversioned paths remain as aliases answering identically.
-// Probes (GET /healthz, /readyz), telemetry (GET /metrics in Prometheus
-// text format, GET /debug/slowlog) and the error envelope are shared by
-// both. Every non-2xx response carries one JSON shape:
+// The client API lives under /v1 only (POST /v1/query, POST /v1/exact, GET
+// /v1/columns, GET /v1/strategies, POST /v1/admin/rebuild, POST /v1/ingest,
+// and GET /v1/shard in shard mode); any other path, including the same
+// paths without the /v1 prefix, is a 404. Probes (GET /healthz, /readyz)
+// and telemetry (GET /metrics in Prometheus text format, GET
+// /debug/slowlog) are unversioned. Every non-2xx response carries one JSON
+// shape:
 //
 //	{"error": {"code": "...", "message": "...", "retry_after_ms": 1000}}
 //
@@ -22,7 +23,7 @@
 //
 // # Bounded queries
 //
-// POST /query accepts error_bound (maximum mean per-group relative error at
+// POST /v1/query accepts error_bound (maximum mean per-group relative error at
 // a confidence level) and/or time_bound_ms (maximum predicted execution
 // latency). The core planner enumerates candidate sample plans, predicts
 // each one's error and latency, and executes the cheapest plan satisfying
@@ -33,7 +34,7 @@
 //
 // # Concurrency
 //
-// The handler serves any number of /query, /exact and metadata requests in
+// The handler serves any number of query, exact and metadata requests in
 // parallel (net/http runs each request on its own goroutine). This is safe
 // because shared state is either immutable, swapped atomically, or
 // internally synchronised: the base database and every pre-built sample
@@ -42,7 +43,7 @@
 // buffers, the query trace — lives on the request's own goroutine (rewrite
 // steps record into the trace under its lock), and the registered Prepared
 // set sits behind an atomic pointer in core.System. A rebuild (POST
-// /admin/rebuild, or AutoRebuild on a timer) pre-processes a fresh sample
+// /v1/admin/rebuild, or AutoRebuild on a timer) pre-processes a fresh sample
 // generation in the background, swaps it in with core.SwapPrepared, and
 // persists it to the sample catalog; queries in flight during the swap
 // finish on the generation they started with. Set worker budgets
@@ -56,7 +57,7 @@
 //
 // # Deadlines and overload
 //
-// Every /query and /exact runs under a context derived from the request: a
+// Every /v1/query and /v1/exact runs under a context derived from the request: a
 // client disconnect, the server's Config.DefaultTimeout, or the request's
 // own timeout_ms field cancels in-flight shard scans at the next shard
 // boundary. A missed deadline returns 504 with a structured error; under
@@ -310,27 +311,20 @@ const (
 	CodeIngestDegraded = "ingest_degraded"
 )
 
-// Handler returns the HTTP routes — the /v1 surface plus the legacy
-// unversioned aliases — wrapped in the request-ID and panic-recovery
-// middleware; /query and /exact additionally pass through admission
-// control.
+// Handler returns the HTTP routes — the /v1 client surface plus the
+// unversioned probes and telemetry — wrapped in the request-ID and
+// panic-recovery middleware; /v1/query and /v1/exact additionally pass
+// through admission control.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// Versioned + legacy alias registration: both paths share one handler,
-	// so the pairs cannot drift apart.
-	versioned := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		method, path, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	versioned("POST /query", s.admit("query", s.handleQuery))
-	versioned("POST /exact", s.admit("exact", s.handleExact))
-	versioned("GET /columns", s.handleColumns)
-	versioned("GET /strategies", s.handleStrategies)
-	versioned("POST /admin/rebuild", s.handleRebuild)
-	versioned("POST /ingest", s.handleIngest)
+	mux.HandleFunc("POST /v1/query", s.admit("query", s.handleQuery))
+	mux.HandleFunc("POST /v1/exact", s.admit("exact", s.handleExact))
+	mux.HandleFunc("GET /v1/columns", s.handleColumns)
+	mux.HandleFunc("GET /v1/strategies", s.handleStrategies)
+	mux.HandleFunc("POST /v1/admin/rebuild", s.handleRebuild)
+	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	if s.cfg.Shards > 0 {
-		versioned("GET /shard", s.handleShard)
+		mux.HandleFunc("GET /v1/shard", s.handleShard)
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)

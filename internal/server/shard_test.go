@@ -194,12 +194,12 @@ func TestShedRetryAfterHeaderJittered(t *testing.T) {
 	go blocked.admit("query", func(w http.ResponseWriter, r *http.Request) {
 		close(held)
 		<-release
-	})(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/query", nil))
+	})(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", nil))
 	<-held
 	rec := httptest.NewRecorder()
 	blocked.admit("query", func(http.ResponseWriter, *http.Request) {
 		t.Error("shed request reached the handler")
-	})(rec, httptest.NewRequest(http.MethodPost, "/query", nil))
+	})(rec, httptest.NewRequest(http.MethodPost, "/v1/query", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", rec.Code)
 	}
